@@ -46,6 +46,14 @@ let opt_json (r : Flow.opt_result) =
       ("guard_time_s", J.Float r.Flow.guard_time);
     ]
 
+(* The goal's paper script through the pass engine: the optimizer
+   every entry point builds with [Flow.Batch.optimizer_of_spec]. *)
+let engine_opt ?(effort = Flow.Batch.default_spec.effort) goal m =
+  fst
+    (Flow.Batch.optimizer_of_spec
+       { Flow.Batch.default_spec with goal; effort }
+       m)
+
 let syn_json (s : Flow.syn_result) =
   J.Obj
     [
@@ -392,7 +400,7 @@ let print_fig2 () =
   let u = N.add_pi g "u" and vv = N.add_pi g "v" in
   N.add_po g "g" (N.and_ g x (N.or_ g y (N.and_ g u vv)));
   let m0 = Mig.Convert.of_network (N.flatten_aoig g) in
-  let m1 = Mig.Opt_depth.run m0 in
+  let m1 = engine_opt `Depth m0 in
   assert (Mig.Equiv.to_network_equiv ~seed:21 m1 g);
   Printf.printf
     "(c) g = x(y+uv): transposed depth %d -> optimized depth %d (paper: 3 -> 2)\n"
@@ -409,7 +417,16 @@ let print_fig2 () =
       (Mig.Graph.maj g x y (Mig.Graph.maj g (Network.Signal.not_ x) z w));
     g
   in
-  let k1 = Mig.Opt_activity.run ~pi_prob:probs k0 in
+  (* the activity goal's script, ranked by activity under the skewed
+     input probabilities *)
+  let k1, _ =
+    Flow.Engine.run
+      ~passes:(Flow.Engine.of_goal `Activity)
+      ~cost:(fun g ->
+        ( Mig.Activity.total ~pi_prob:probs g,
+          float_of_int (Mig.Graph.size g) ))
+      k0
+  in
   assert (Mig.Equiv.migs ~seed:23 k0 k1);
   Printf.printf
     "(d) k = M(x,y,M(x',z,w)), p(x)=0.5, p(y,z,w)=0.1:\n\
@@ -485,7 +502,7 @@ let print_compress () =
     (Aig.Graph.size a) (Aig.Graph.depth a) t_aig;
   let (m, t_mig), mig_span =
     T.capture tel "compress:mig" (fun () ->
-        T.time (fun () -> Mig.Opt_depth.run ~effort:2 (Mig.Convert.of_network flat)))
+        T.time (fun () -> engine_opt `Depth (Mig.Convert.of_network flat)))
   in
   Printf.printf
     "MIG:  %d nodes, %d levels, %.1fs (paper: 170k +1.7%%, 28 levels -9.6%%, 21.5s)\n"
@@ -535,7 +552,7 @@ let print_ablation () =
   Printf.printf "cla, depth-optimization effort sweep:\n";
   List.iter
     (fun e ->
-      let m = Mig.Opt_depth.run ~effort:e m0 in
+      let m = engine_opt ~effort:e `Depth m0 in
       Printf.printf "  effort=%d: size=%d depth=%d\n%!" e (Mig.Graph.size m)
         (Mig.Graph.depth m))
     [ 1; 2; 4 ];
@@ -553,7 +570,7 @@ let print_ablation () =
     N.flatten_aoig
       ((Benchmarks.Suite.find "my_adder").Benchmarks.Suite.build ())
   in
-  let opt = Mig.Opt_depth.run (Mig.Convert.of_network madd) in
+  let opt = engine_opt `Depth (Mig.Convert.of_network madd) in
   let sub = Mig.Convert.to_network opt in
   let with_maj = Tech.Mapper.map_network ~ctx sub in
   let without = Tech.Mapper.map_network ~ctx ~lib:Tech.Cells.no_majority sub in
@@ -899,12 +916,8 @@ let print_hotpath () =
     (fun e ->
       let bname = e.Benchmarks.Suite.name in
       let m = hotpath_table1_mig bname in
-      let ms, t_size =
-        T.time (fun () -> Mig.Opt_size.run ~check:false m)
-      in
-      let md, t_depth =
-        T.time (fun () -> Mig.Opt_depth.run ~check:false m)
-      in
+      let ms, t_size = T.time (fun () -> engine_opt `Size m) in
+      let md, t_depth = T.time (fun () -> engine_opt `Depth m) in
       tot_size := !tot_size +. t_size;
       tot_depth := !tot_depth +. t_depth;
       Printf.printf
@@ -959,10 +972,14 @@ let print_engine () =
     let m = Mig.Convert.of_network ~ctx net in
     let (out, rep), t =
       T.time (fun () ->
-          Flow.Engine.run ?timeout_s
-            ~cost:(Flow.Engine.cost_of_goal goal)
-            ~seed:0xe14
-            ~passes:(Flow.Engine.of_goal ~effort goal)
+          Flow.Batch.optimizer_of_spec
+            {
+              Flow.Batch.default_spec with
+              goal;
+              effort;
+              timeout_s;
+              seed = 0xe14;
+            }
             m)
     in
     let equivalent = Mig.Equiv.migs ~seed:0x517 m out in
@@ -1421,10 +1438,8 @@ let print_orchestrate () =
       let fixed, t_fixed =
         T.time (fun () ->
             fst
-              (Flow.Engine.run
-                 ~cost:(Flow.Engine.cost_of_goal `Size)
-                 ~seed:0xda14
-                 ~passes:(Flow.Engine.of_goal ~effort:2 `Size)
+              (Flow.Batch.optimizer_of_spec
+                 { Flow.Batch.default_spec with seed = 0xda14 }
                  m))
       in
       let budget_s = Float.max 0.5 (2. *. t_fixed) in

@@ -65,12 +65,6 @@ let opt_goal_arg =
            $(b,search) (beam search over optimization moves, scored by the \
            size*depth product).")
 
-let verify_arg =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:"Check the optimized MIG against the input by simulation.")
-
 let stats_arg =
   Arg.(
     value & flag
@@ -147,47 +141,11 @@ let report g label =
   Format.printf "%-10s size = %d, depth = %d, activity = %.2f@." label
     (Mig.Graph.size g) (Mig.Graph.depth g) (Mig.Activity.total g)
 
-let optimize input output effort goal verify stats =
-  let ctx = ctx_of_cli ~stats () in
-  let net = read_input input in
-  Format.printf "read %s: %a@." input Network.Graph.pp_stats net;
-  let m = Mig.Convert.of_network ~ctx net in
-  report m "initial";
-  let t0 = Unix.gettimeofday () in
-  let opt, span =
-    Lsutil.Telemetry.capture (Lsutil.Ctx.stats ctx) "optimize" (fun () ->
-        match goal with
-        | `Size -> Mig.Opt_size.run ~effort m
-        | `Depth -> Mig.Opt_depth.run ~effort:(max effort 3) m
-        | `Activity -> Mig.Opt_activity.run ~effort m)
-  in
-  report opt "optimized";
-  Format.printf "time: %.2fs@." (Unix.gettimeofday () -. t0);
-  Option.iter (Format.printf "%a@." Lsutil.Telemetry.pp) span;
-  if verify then begin
-    let ok = Mig.Equiv.to_network_equiv ~seed:0xda14 opt net in
-    Format.printf "verification: %s@." (if ok then "PASS" else "FAIL");
-    if not ok then exit 2
-  end;
-  match output with
-  | Some path ->
-      write_output path (Mig.Convert.to_network opt);
-      Format.printf "wrote %s@." path
-  | None -> ()
-
-let optimize_cmd =
-  let doc = "optimize a circuit through the MIG flow" in
-  Cmd.v
-    (Cmd.info "optimize" ~doc)
-    Term.(
-      const optimize $ input_arg $ output_arg $ effort_arg $ goal_arg
-      $ verify_arg $ stats_arg)
-
-(* The fault-tolerant engine behind a dedicated subcommand: the same
-   scripts as [optimize], but budgeted, checkpointed and isolated pass
-   by pass.  Exit codes: 0 clean, 2 usage/input error, 3 degraded
-   (some pass timed out, failed or was skipped — the output is still a
-   valid best-so-far circuit). *)
+(* The optimize subcommand: the paper's scripts run through the
+   fault-tolerant engine, budgeted, checkpointed and isolated pass by
+   pass, and re-verified against the input.  Exit codes: 0 clean, 2
+   usage/input error, 3 degraded (some pass timed out, failed or was
+   skipped — the output is still a valid best-so-far circuit). *)
 let opt_run input output effort goal stats timeout max_nodes fault json cache
     par_jobs beam traj =
   (* the fault plan targets the optimization run: reject a bad spec up
@@ -291,41 +249,34 @@ let opt_run input output effort goal stats timeout max_nodes fault json cache
             | _ -> ());
             (out, rep)
         | (`Size | `Depth | `Activity) as goal -> (
-            match store with
-            | None ->
-                let passes =
-                  match par_goal with
-                  | Some (jobs, pg) ->
-                      Flow.Par.passes ~jobs
-                        ~spec:{ Flow.Par.default_spec with goal = pg; effort }
-                        ()
-                  | None -> Flow.Engine.of_goal ~effort goal
-                in
+            let spec =
+              {
+                Flow.Batch.goal;
+                effort;
+                timeout_s = timeout;
+                max_nodes;
+                verify = None;
+                seed = 0xda14;
+              }
+            in
+            match (store, par_goal) with
+            | None, None -> Flow.Batch.optimizer_of_spec spec m
+            | None, Some (jobs, pg) ->
                 Flow.Engine.run ?timeout_s:timeout ?max_nodes
                   ~cost:(Flow.Engine.cost_of_goal goal)
-                  ~seed:0xda14 ~passes m
-            | Some c ->
+                  ~seed:spec.seed
+                  ~passes:
+                    (Flow.Par.passes ~jobs
+                       ~spec:{ Flow.Par.default_spec with goal = pg; effort }
+                       ())
+                  m
+            | Some c, _ ->
             (* cache-accelerated: the rewrite handle feeds the engine's
                refactoring passes, and the cone store lets unchanged
                outputs skip optimization entirely (dune-style cutoff) *)
             let rwh = Mig.Rwcache.fork (Flow.Cache.rw c) in
-            let salt =
-              Flow.Batch.salt_of_spec
-                {
-                  Flow.Batch.goal;
-                  effort;
-                  timeout_s = timeout;
-                  max_nodes;
-                  verify = None;
-                  seed = 0xda14;
-                }
-            in
-            let passes = Flow.Engine.of_goal ~effort ~cache:rwh goal in
-            let optimize g =
-              Flow.Engine.run ?timeout_s:timeout ?max_nodes
-                ~cost:(Flow.Engine.cost_of_goal goal)
-                ~seed:0xda14 ~passes g
-            in
+            let salt = Flow.Batch.salt_of_spec spec in
+            let optimize = Flow.Batch.optimizer_of_spec ~cache:rwh spec in
             let r =
               Flow.Cutoff.run ~salt ~store:(Flow.Cache.cones c) ~optimize
                 ~seed:0xda14 m
@@ -458,11 +409,8 @@ let map_cmd =
   let doc = "optimize and map onto the 22nm-style cell library" in
   let run input effort no_maj =
     let ctx = ctx_of_cli () in
-    let net = read_input input in
-    let m =
-      Mig.Opt_depth.run ~effort:(max effort 3)
-        (Mig.Convert.of_network ~ctx net)
-    in
+    let m, _ = Flow.mig_opt ~effort ctx (read_input input) in
+    report m "optimized";
     let lib = if no_maj then Tech.Cells.no_majority else Tech.Cells.full in
     let r = Tech.Mapper.map_network ~ctx ~lib (Mig.Convert.to_network m) in
     Format.printf "%a@." Tech.Mapper.pp_result r;
@@ -768,12 +716,30 @@ let check_cmd =
               (fun r -> Format.printf "%a@." Check.Report.pp r)
               reports);
         (if guard then
+           (* the engine replaces a discarded pass by its checkpoint,
+              which the miter cannot tell from the pass's own work, so
+              the guard also fails on any rollback *)
+           let report = ref None in
+           let optimize m =
+             let out, r =
+               Flow.Batch.optimizer_of_spec
+                 { Flow.Batch.default_spec with goal = `Depth }
+                 m
+             in
+             report := Some r;
+             out
+           in
            match
-             Mig.Check.guarded ~enabled:true ~name:"opt_depth"
-               (Mig.Opt_depth.run ~check:false ~effort:2)
-               m
+             Mig.Check.guarded ~enabled:true ~name:"depth" optimize
+               (Mig.Convert.of_network ~ctx (Network.Graph.flatten_aoig net))
            with
-           | _ -> Format.printf "guard: opt_depth PASS@."
+           | _ -> (
+               match !report with
+               | Some ({ Flow.Engine.degraded = true; _ } as r) ->
+                   Format.printf "%a@.guard: depth FAIL (engine rolled back)@."
+                     Flow.Engine.pp_report r;
+                   exit 1
+               | _ -> Format.printf "guard: depth PASS@.")
            | exception Check.Guard.Failed f ->
                Format.printf "%a@." Check.Guard.pp_failure f;
                exit 1);
@@ -1060,6 +1026,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            optimize_cmd; opt_cmd; batch_cmd; map_cmd; stats_cmd; bench_cmd;
+            opt_cmd; batch_cmd; map_cmd; stats_cmd; bench_cmd;
             check_cmd; equiv_cmd; serve_cmd; ping_cmd; serve_load_cmd;
           ]))

@@ -28,9 +28,7 @@ let () =
   List.iter
     (fun (name, net) ->
       let sub =
-        Mig.Convert.to_network
-          (Mig.Opt_depth.run
-             (Mig.Convert.of_network (Network.Graph.flatten_aoig net)))
+        Mig.Convert.to_network (fst (Flow.mig_opt (Lsutil.Ctx.create ()) net))
       in
       let full, ok1 = Tech.Mapper.map_and_verify ~seed:1 sub in
       let nomaj, ok2 =

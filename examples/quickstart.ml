@@ -22,9 +22,14 @@ let () =
   let mig = Mig.Convert.of_network flat in
   Format.printf "transposed MIG: %a@." M.pp_stats mig;
 
-  (* 3. Optimize for depth (Algorithm 2) and for size (Algorithm 1). *)
-  let fast = Mig.Opt_depth.run mig in
-  let small = Mig.Opt_size.run mig in
+  (* 3. Optimize for depth (Algorithm 2) and for size (Algorithm 1):
+        the goal's script runs through the fault-tolerant pass engine,
+        the same optimizer behind `mighty opt`, `batch` and `serve`. *)
+  let optimize goal =
+    fst (Flow.Batch.optimizer_of_spec { Flow.Batch.default_spec with goal } mig)
+  in
+  let fast = optimize `Depth in
+  let small = optimize `Size in
   Format.printf "depth-optimized: %a@." M.pp_stats fast;
   Format.printf "size-optimized:  %a@." M.pp_stats small;
 

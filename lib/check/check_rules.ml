@@ -53,7 +53,7 @@ let all =
        and exemptions live in Lint_rules.applies *)
     ("SRC001", "top-level mutable singleton: structure-level binding to \
                 ref/Hashtbl.create/Atomic.make in lib/");
-    ("SRC002", "Domain.spawn outside Flow.Batch");
+    ("SRC002", "Domain.spawn outside Flow.Batch and the serve daemon");
     ("SRC003", "raw wall-clock read outside Budget/Telemetry in lib/");
     ("SRC004", "Obj.magic anywhere");
     ("SRC005", "catch-all `with _ ->` exception handler in lib/");

@@ -78,12 +78,6 @@ val reshape_assoc : mig -> mig
     private node is replaced by a shared one.  Never increases size
     after sweeping. *)
 
-val traced : string -> (mig -> mig) -> mig -> mig
-(** [traced name pass g] runs [pass g] inside a telemetry span that
-    records nodes/depth in → out (the instrumentation every pass
-    above already carries; exposed for the optimization loops and
-    external passes). *)
-
 val prewarm : unit -> unit
 (** Force the lazily-built shared pattern table.  Call once from the
     spawning domain before running transforms concurrently in several

@@ -110,14 +110,14 @@ let salt_of_spec spec =
 (* The single construction point for "this spec's optimizer": the
    engine pipeline (via the move vocabulary behind [Engine.of_goal])
    and the matching checkpoint ranking, run under the spec's budget
-   and verification policy.  Both [run_item] branches and the CLI's
-   cache path build their optimizer here, so a recipe means the same
-   thing everywhere it is replayed. *)
-let optimizer_of_spec ?cache spec =
+   and verification policy.  Every optimize entry point builds its
+   optimizer here, so a recipe means the same thing everywhere it is
+   replayed. *)
+let optimizer_of_spec ?cache ?trace spec =
   let passes = Engine.of_goal ~effort:spec.effort ?cache spec.goal in
   fun g ->
     Engine.run ?verify:spec.verify ?timeout_s:spec.timeout_s
-      ?max_nodes:spec.max_nodes
+      ?max_nodes:spec.max_nodes ?trace
       ~cost:(Engine.cost_of_goal spec.goal)
       ~seed:spec.seed ~passes g
 

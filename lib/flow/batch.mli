@@ -26,12 +26,19 @@ val default_spec : spec
 (** [`Size], effort 2, no budget, ctx-resolved verification, seed 1. *)
 
 val optimizer_of_spec :
-  ?cache:Mig.Rwcache.t -> spec -> Mig.Graph.t -> Mig.Graph.t * Engine.report
+  ?cache:Mig.Rwcache.t ->
+  ?trace:(string -> unit) ->
+  spec ->
+  Mig.Graph.t ->
+  Mig.Graph.t * Engine.report
 (** The spec's optimizer, built once: [Engine.of_goal] passes (the
     move vocabulary, with [cache] handed to every refactoring pass)
     plus the goal's checkpoint ranking, run under the spec's budget,
-    seed and verification policy.  The single construction point the
-    batch branches and the CLI share. *)
+    seed and verification policy.  [trace] is handed to
+    {!Engine.run} (the serve daemon's per-pass telemetry).  The single
+    construction point of the paper's Alg. 1/2 scripts: [Flow.mig_opt],
+    the batch branches, {!Par} regions, the CLI and the serve daemon
+    all optimize through it, so one spec gives one answer everywhere. *)
 
 val salt_of_spec : spec -> string
 (** The {!Cutoff} fingerprint salt for this recipe.  Everything that
@@ -95,13 +102,10 @@ val run :
 
 val pmap : jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** The underlying pool: applies [f] to every element on [jobs]
-    domains, results in input order.  Exposed for the differential
-    tests. *)
-
-val pmap_opt :
-  ?stop:bool Atomic.t -> jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b option array
-(** {!pmap} with an early-stop flag: slots of items never claimed
-    (because [stop] was set) are [None]. *)
+    domains (taken literally, clamped only to the element count),
+    results in input order.  The library's one domain pool: {!Par}
+    runs its regions on it, and the differential tests force genuine
+    multi-domain execution through it. *)
 
 val outcome_to_json : outcome -> Lsutil.Json.t
 

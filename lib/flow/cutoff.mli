@@ -31,18 +31,6 @@ val fingerprint : salt:string -> Mig.Graph.t -> Network.Signal.t -> string
     complement and [salt].  Node ids do not influence it, so it is
     stable across rebuilds of the same structure. *)
 
-val serialize : Mig.Graph.t -> Network.Signal.t -> Lsutil.Json.t
-(** Portable encoding of one cone (PIs by name, nodes in post-order,
-    signals as [2*slot + complement]). *)
-
-val deserialize :
-  Mig.Graph.t ->
-  pi_sig:(string -> Network.Signal.t option) ->
-  Lsutil.Json.t ->
-  Network.Signal.t option
-(** Rebuild a serialized cone inside a target graph; [None] on any
-    malformed reference or unknown PI name. *)
-
 type result = {
   graph : Mig.Graph.t;
   report : Engine.report;

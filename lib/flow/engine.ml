@@ -189,6 +189,7 @@ let run ?verify ?timeout_s ?max_nodes ?cost ?size_cap ?(seed = 1)
       (* the returned graph is re-verified unconditionally so [report.
          verified] is meaningful even on all-Completed runs *)
       let verified = candidate_ok ~verify:true ~seed ~input out in
+      let fell_back = not verified in
       let out, verified =
         if verified then (out, true)
         else begin
@@ -205,7 +206,7 @@ let run ?verify ?timeout_s ?max_nodes ?cost ?size_cap ?(seed = 1)
       let passes = List.rev !reports in
       let degraded =
         List.exists (fun r -> r.outcome <> Completed) passes
-        || not verified
+        || fell_back || not verified
       in
       if T.enabled tel then begin
         T.record_int tel "engine.rollbacks" !rollbacks;
@@ -216,9 +217,7 @@ let run ?verify ?timeout_s ?max_nodes ?cost ?size_cap ?(seed = 1)
 
 (* Goal-directed pipelines: the paper's scripts spelled in the
    [Move] vocabulary — one engine pass per atom, so each transform is
-   individually isolated and checkpointed.  [Move.script_of_goal]
-   reproduces the historical pass names and order exactly, so these
-   pipelines are bit-identical to the hard-coded ones they replace. *)
+   individually isolated and checkpointed. *)
 
 let of_goal ?effort ?cache goal =
   List.map (fun (name, f) -> pass name f)

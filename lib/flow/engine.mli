@@ -38,7 +38,9 @@ type pass_report = {
 type report = {
   passes : pass_report list;
   rollbacks : int;
-  degraded : bool;  (** some pass did not complete, or unverified *)
+  degraded : bool;
+      (** some pass did not complete, the final checkpoint failed
+          re-verification (the input was returned), or unverified *)
   verified : bool;  (** final graph lints clean and matches the input *)
 }
 
@@ -74,9 +76,16 @@ val run :
     (the serve daemon's streaming telemetry); it is isolated like a
     pass — an exception inside it cannot disturb the engine.
 
-    The returned graph is re-verified unconditionally; if even the
-    final checkpoint fails (possible only under injected corruption),
-    the engine falls back to [cleanup] of the input. *)
+    The returned graph is re-verified unconditionally; if the final
+    checkpoint fails (injected corruption, or an unsound pass accepted
+    while [verify] was off), the engine falls back to [cleanup] of the
+    input and the report reads [degraded] with one more rollback.
+
+    Every rollback and every failed verification sets [degraded], so a
+    run that is not [degraded] returned the passes' own work.
+    Soundness checks of the passes ([mighty check --guard], the guarded
+    Table-I flow, the tests) must demand that: the engine otherwise
+    hides an unsound pass behind an equivalent graph. *)
 
 val protect :
   tel:Lsutil.Telemetry.t -> name:string -> (unit -> 'a) -> ('a, outcome) result
@@ -91,13 +100,12 @@ val of_goal :
   ?cache:Mig.Rwcache.t ->
   [ `Size | `Depth | `Activity ] ->
   pass list
-(** The optimization scripts of [Mig.Opt_size] / [Opt_depth] /
-    [Opt_activity] unrolled into individually-checkpointed engine
-    passes, [effort] (default 2) cycles plus the goal's recovery
-    phase.  [cache] is handed to every refactoring pass (see
-    {!Mig.Transform.refactor}).  Since the move refactor this is
-    [Move.script_of_goal] wrapped into passes — same names, same
-    order, bit-identical behavior. *)
+(** The paper's optimization scripts ({!Move.script_of_goal}) as
+    individually-checkpointed engine passes, [effort] (default 2)
+    cycles plus the goal's recovery phase.  [cache] is handed to every
+    refactoring pass (see {!Mig.Transform.refactor}).  Callers normally
+    go through [Batch.optimizer_of_spec], which pairs these passes with
+    {!cost_of_goal}. *)
 
 val cost_of_goal :
   [ `Size | `Depth | `Activity ] -> Mig.Graph.t -> float * float

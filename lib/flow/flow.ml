@@ -28,10 +28,12 @@ let flatten ctx net =
       Network.Graph.flatten_aoig net)
 
 (* Run [pass] with the transform guard around — not inside — the
-   timed region: the reported [time] is the transform alone, and the
-   lint + simulation-miter overhead of a checking context lands in
-   [guard_time] (and in the [guard:*] telemetry spans) instead of
-   corrupting the Table-I runtime column. *)
+   timed region: the reported [time] is the pass alone, and the guard's
+   lint + simulation-miter overhead lands in [guard_time] (and in the
+   [guard:*] telemetry spans) instead of the Table-I runtime column.
+   For [mig_opt] the pass is a whole engine run, so [time] includes the
+   engine's per-pass lint and final re-verification, which every
+   engine entry point pays. *)
 let guarded_timed ~enabled ~verify_pre ~verify_post pass g =
   if not enabled then begin
     let out, t = timed (fun () -> pass g) in
@@ -44,20 +46,35 @@ let guarded_timed ~enabled ~verify_pre ~verify_post pass g =
     (out, t, t_pre +. t_post)
   end
 
-let mig_opt ?check ?(effort = 3) ?cache ctx net =
+let mig_opt ?check ?(effort = Batch.default_spec.effort) ?cache ctx net =
   T.span (Ctx.stats ctx) "flow:mig_opt" (fun () ->
       let net = flatten ctx net in
       let m =
         T.span (Ctx.stats ctx) "flow:of_network" (fun () ->
             Mig.Convert.of_network ~ctx net)
       in
+      let guard = Check.Env.resolve ~default:(Ctx.check ctx) check in
+      (* the guard's miter stands in for the engine's per-pass miters;
+         it cannot tell a checkpoint the engine substituted for a
+         discarded pass from the script's own result, so under the
+         guard a rollback is an error too *)
+      let optimize m =
+        let out, r =
+          Batch.optimizer_of_spec ?cache
+            { Batch.default_spec with goal = `Depth; effort; verify = Some false }
+            m
+        in
+        if guard && r.Engine.degraded then
+          failwith
+            (Format.asprintf "mig_opt: the engine rolled back a pass@.%a"
+               Engine.pp_report r);
+        out
+      in
       let opt, time, guard_time =
-        guarded_timed
-          ~enabled:(Check.Env.resolve ~default:(Ctx.check ctx) check)
-          ~verify_pre:(Mig.Check.verify_pre ~name:"opt_depth")
-          ~verify_post:(Mig.Check.verify_post ~name:"opt_depth")
-          (Mig.Opt_depth.run ~check:false ~effort ?cache)
-          m
+        guarded_timed ~enabled:guard
+          ~verify_pre:(Mig.Check.verify_pre ~name:"mig_opt")
+          ~verify_post:(Mig.Check.verify_post ~name:"mig_opt")
+          optimize m
       in
       ( opt,
         {

@@ -76,13 +76,20 @@ val mig_opt :
   Lsutil.Ctx.t ->
   Network.Graph.t ->
   Mig.Graph.t * opt_result
-(** MIGhty: depth optimization interlaced with size and activity
-    recovery (the flow of §V.A.1).  On every flow, [check] runs the
-    underlying optimization under its transform guard
-    ([Mig.Check.guarded] / [Aig.Check.guarded]); it defaults to the
-    context's check policy ([Lsutil.Ctx.check]).  [cache] is an armed
-    rewrite-cache handle for the refactoring steps (see
-    {!Mig.Transform.refactor}). *)
+(** MIGhty: the depth goal's engine script (Alg. 2 interlaced with
+    size recovery, the flow of §V.A.1) on the flattened input, built by
+    {!Batch.optimizer_of_spec} — the same optimizer [mighty opt],
+    [batch] and [serve] run, so one effort gives one answer on every
+    entry point.  [effort] defaults to the spec default (2).  On every
+    flow, [check] runs the underlying optimization under its transform
+    guard ([Mig.Check] / [Aig.Check] pre/post lint plus a simulation
+    miter); it defaults to the context's check policy
+    ([Lsutil.Ctx.check]).  [cache] is an armed rewrite-cache handle for
+    the refactoring steps (see {!Mig.Transform.refactor}).
+
+    [mig_opt]'s guard replaces the engine's per-pass miters, and under
+    it a [degraded] engine run (a rolled-back pass) raises [Failure].  Its [time] covers the whole engine run,
+    including the engine's per-pass lint and final re-verification. *)
 
 val aig_opt :
   ?check:bool ->

@@ -46,10 +46,10 @@ let run_atom ?cache atom g =
   | Refactor -> Tr.refactor ?cache g
   | Push_up_sat max_iter -> saturate_depth Tr.push_up ~max_iter g
 
-(* The paper's Alg. 1/2 scripts, decomposed: base-names and transform
-   parameters are exactly what [Engine.of_goal] has always built — the
-   engine's pipelines are now spelled in this vocabulary, so default
-   goals stay bit-identical. *)
+(* The paper's Alg. 1/2 scripts, decomposed into atoms: the one
+   definition every optimize entry point runs (via [Engine.of_goal]).
+   Pass names and parameters are part of the engine reports and the
+   benchmark records, so changing them changes recorded results. *)
 let cycle_atoms : goal -> (string * atom) list = function
   | `Size ->
       [

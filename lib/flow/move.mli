@@ -6,18 +6,17 @@
     {ul
     {- {b Atoms} — the individual transforms of the paper's Alg. 1/2
        scripts ([rewrite], [eliminate], [push_up], …).
-       {!script_of_goal} unrolls a goal into its exact legacy
-       atom-level pass list (same names, same order, same transform
-       parameters), which is what {!Engine.of_goal} now returns — the
-       fixed scripts are a special case of the move representation,
-       bit-identical to the hard-coded pipelines they replace.}
+       {!script_of_goal} unrolls a goal into its atom-level pass list
+       (names, order and transform parameters), which is what
+       {!Engine.of_goal} returns: this is the one definition of the
+       paper's scripts that every optimize entry point runs.}
     {- {b Macro moves} ({!t}) — whole optimization rounds (one goal
        cycle, an AIG-resyn round-trip, a BDS round-trip), the unit
-       {!Orchestrate} searches over.  Each wraps an existing
-       [Opt_size]/[Opt_depth]/[Opt_activity]/[Aig.Resyn]/
-       [Bdd.Decompose] recipe with its effort parameters; its
-       predicted cost comes from an {!Lsutil.Costmodel} keyed by
-       {!cost_key}.}}
+       {!Orchestrate} searches over.  A goal cycle folds that goal's
+       {!cycle_atoms} and {!recovery_atoms}; the round-trips wrap
+       [Aig.Resyn] and [Bdd.Decompose] with their effort parameters.
+       Each move's predicted cost comes from an {!Lsutil.Costmodel}
+       keyed by {!cost_key}.}}
 
     Moves are pure graph-to-graph functions; budget polls, fault
     sites and verification all live in the transforms they wrap and
@@ -43,18 +42,18 @@ type atom =
 val run_atom : ?cache:Mig.Rwcache.t -> atom -> G.t -> G.t
 
 val cycle_atoms : goal -> (string * atom) list
-(** One cycle of the goal's paper script, in order, with the legacy
-    pass base-names (["rewrite"], ["eliminate'"], …). *)
+(** One cycle of the goal's paper script, in order, with the pass
+    base-names (["rewrite"], ["eliminate'"], …). *)
 
 val recovery_atoms : goal -> (string * atom) list
 (** The script's size-recovery tail (non-empty only for [`Depth]),
-    with the legacy ["recover:*"] names. *)
+    with the ["recover:*"] names. *)
 
 val script_of_goal :
   ?effort:int -> ?cache:Mig.Rwcache.t -> goal -> (string * (G.t -> G.t)) list
 (** [effort] (default 2) cycles of {!cycle_atoms} — pass names
     suffixed ["#1"], ["#2"], … — followed by {!recovery_atoms}.
-    Exactly the pipeline [Engine.of_goal] has always built. *)
+    The pipeline [Engine.of_goal] builds. *)
 
 val cost_of_goal : goal -> G.t -> float * float
 (** The goal's lexicographic score: primary then tie-break metric
@@ -73,9 +72,6 @@ type kind =
 
 type t = { name : string; kind : kind }
 
-val opt_cycle : goal -> t
-(** Named ["cycle:size"] etc. *)
-
 val resyn : int -> t
 (** Named ["resyn#<effort>"]. *)
 
@@ -92,7 +88,8 @@ val cost_key : t -> string
 (** The {!Lsutil.Costmodel} key, ["move:<name>"]. *)
 
 val vocabulary : ?seed:int -> goal -> t list
-(** The search vocabulary for a goal: the goal's own cycle first
+(** The search vocabulary for a goal: the goal's own cycle (named
+    ["cycle:<goal>"]) first
     (greedy search tries it before anything else), then the remaining
     goal cycles, then the AIG-resyn and BDS round-trips.  [seed]
     (default 1) parameterizes the BDS variable-order search, so a

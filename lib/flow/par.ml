@@ -42,7 +42,7 @@ type spec = {
   goal : [ `Size | `Depth ];
   effort : int;
   target : int; (* region node-count target *)
-  verify : bool option; (* per-region guard; None = ctx check policy *)
+  verify : bool option; (* per-pass region miter; None = ctx check policy *)
   seed : int;
 }
 
@@ -54,7 +54,7 @@ type region_outcome = {
   nodes_in : int; (* majs extracted *)
   nodes_out : int; (* majs after optimization *)
   verified : bool;
-  fell_back : bool; (* optimization rejected; committed as-is *)
+  fell_back : bool; (* region engine run degraded *)
   time_s : float;
   telemetry : T.node option;
   san_findings : int;
@@ -126,29 +126,21 @@ let optimize_region ~spec ~shards ~stats_on ~check_on ~san_on g index region =
   in
   let work () =
     let sub = extract ~shards rctx g region in
-    let optimized, fell_back =
-      match
-        match spec.goal with
-        | `Size ->
-            Mig.Opt_size.run ?check:spec.verify ~effort:spec.effort sub
-        | `Depth ->
-            Mig.Opt_depth.run ?check:spec.verify ~effort:spec.effort sub
-      with
-      | o -> (o, false)
-      | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-      | exception _ -> (sub, true)
+    (* the engine isolates, verifies and degrades every pass, and falls
+       back to the region's input when its result does not verify, so
+       its output is committed as is *)
+    let optimized, report =
+      Batch.optimizer_of_spec
+        {
+          Batch.default_spec with
+          goal = (spec.goal :> [ `Size | `Depth | `Activity ]);
+          effort = spec.effort;
+          verify = spec.verify;
+          seed = spec.seed;
+        }
+        sub
     in
-    (* independent whole-region miter (the in-pass guards above only
-       run when [verify] resolves true); a failing region is committed
-       unoptimized rather than wrong *)
-    let do_verify =
-      match spec.verify with Some b -> b | None -> Ctx.check rctx
-    in
-    let verified =
-      (not do_verify) || Mig.Equiv.migs ~seed:spec.seed sub optimized
-    in
-    let result = if verified then optimized else sub in
-    (result, fell_back || not verified, verified)
+    (optimized, report.Engine.degraded, report.Engine.verified)
   in
   let ((result, fell_back, verified), telemetry), time_s =
     T.time (fun () ->
@@ -171,39 +163,6 @@ let optimize_region ~spec ~shards ~stats_on ~check_on ~san_on g index region =
     }
   in
   (result, oc)
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Same shape as [Batch.pmap]: a shared atomic next-region index and
-   one result slot per region, so [Domain.join] publishes every slot
-   and the merged order is the input order by construction.  [jobs] is
-   taken literally (clamped only to the region count) so the
-   differential tests can force genuine multi-domain execution on any
-   host; callers apply the hardware cap. *)
-let pool_map ~jobs f arr =
-  let n = Array.length arr in
-  let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then Array.mapi f arr
-  else begin
-    let next = Atomic.make 0 in
-    let out = Array.make n None in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          out.(i) <- Some (f i arr.(i));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map (function Some v -> v | None -> assert false) out
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Commit (coordinator side, region order)                             *)
@@ -254,7 +213,7 @@ let run ?(jobs = 1) ?(spec = default_spec) g =
   San.publish (G.san_tag g);
   let results =
     T.span tel "par:regions" (fun () ->
-        pool_map ~jobs
+        Batch.pmap ~jobs
           (optimize_region ~spec ~shards ~stats_on ~check_on ~san_on g)
           part.P.regions)
   in

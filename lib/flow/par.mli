@@ -2,8 +2,9 @@
 
     Partitions the PO-reachable cone into fanout-closed regions
     ({!Mig.Partition}), extracts each region as a standalone sub-MIG,
-    optimizes the sub-MIGs on worker domains (one fresh
-    {!Lsutil.Ctx} each), and commits the results sequentially in
+    optimizes the sub-MIGs with the spec's engine script
+    ({!Batch.optimizer_of_spec}) on worker domains ({!Batch.pmap}, one
+    fresh {!Lsutil.Ctx} each), and commits the results sequentially in
     region index order — the same first-writer/input-order discipline
     [Flow.Batch] uses.  Every stage except the per-region optimize
     runs on the calling domain.
@@ -25,8 +26,8 @@ type spec = {
   effort : int;  (** optimization cycles per region *)
   target : int;  (** region size target, in majority nodes *)
   verify : bool option;
-      (** per-region guarded passes + whole-region miter; [None]
-          defers to the graph ctx's check policy *)
+      (** per-pass miter in each region's engine run; [None] defers
+          to the graph ctx's check policy *)
   seed : int;
 }
 
@@ -37,10 +38,12 @@ type region_outcome = {
   index : int;
   nodes_in : int;
   nodes_out : int;
-  verified : bool;
+  verified : bool;  (** the region engine's final re-verification *)
   fell_back : bool;
-      (** region committed unoptimized (optimizer raised or its miter
-          failed) — the run is still correct, just not improved there *)
+      (** the region's engine run degraded (a pass failed and was
+          rolled back, or the result did not verify; an unverified
+          region is committed unoptimized) — the run is still correct,
+          just less improved there *)
   time_s : float;
   telemetry : Lsutil.Telemetry.node option;
   san_findings : int;

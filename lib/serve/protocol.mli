@@ -68,11 +68,11 @@ val optimize :
     2, beam 2, no budget, no fault, [`None] emit, stats off). *)
 
 val request_to_json : req -> Lsutil.Json.t
-val decode_request : Lsutil.Json.t -> (req, error_code * string) result
 
 val parse_request : string -> (req, error_code * string) result
-(** [decode_request] composed with the JSON parser; a parse failure is
-    a [Protocol] error carrying the positioned diagnostic. *)
+(** Parse and decode one request line; a parse failure is a
+    [Protocol] error carrying the positioned diagnostic, invalid
+    content a [Bad_request]. *)
 
 (** {1 Response frames} *)
 

@@ -201,14 +201,16 @@ let process_optimize t fd (r : P.request) =
                     (fun () ->
                       match r.goal with
                       | (`Size | `Depth | `Activity) as goal ->
-                          let passes =
-                            Flow.Engine.of_goal ~effort:r.effort ?cache:rwh
-                              goal
-                          in
-                          Flow.Engine.run ?timeout_s ?max_nodes:r.max_nodes
-                            ?trace
-                            ~cost:(Flow.Engine.cost_of_goal goal)
-                            ~seed:0xda14 ~passes m
+                          Flow.Batch.optimizer_of_spec ?cache:rwh ?trace
+                            {
+                              Flow.Batch.goal;
+                              effort = r.effort;
+                              timeout_s;
+                              max_nodes = r.max_nodes;
+                              verify = None;
+                              seed = 0xda14;
+                            }
+                            m
                       | `Search ->
                           (* orchestrated beam search under the same
                              clamped budget; the trajectory record is

@@ -1,7 +1,6 @@
 type entry = {
   mutable flat_s : float;  (** EWMA of per-run flat seconds *)
   mutable per_node_s : float;  (** EWMA of seconds per input node *)
-  mutable samples : int;
 }
 
 type t = (string, entry) Hashtbl.t
@@ -24,31 +23,15 @@ let observe (t : t) key ~nodes ~time_s =
   match Hashtbl.find_opt t key with
   | None ->
       Hashtbl.add t key
-        { flat_s = time_s /. 2.; per_node_s = time_s /. 2. /. nodes_f;
-          samples = 1 }
+        { flat_s = time_s /. 2.; per_node_s = time_s /. 2. /. nodes_f }
   | Some e ->
       e.flat_s <- ((1. -. decay) *. e.flat_s) +. (decay *. time_s /. 2.);
       e.per_node_s <-
         ((1. -. decay) *. e.per_node_s)
-        +. (decay *. time_s /. 2. /. nodes_f);
-      e.samples <- e.samples + 1
+        +. (decay *. time_s /. 2. /. nodes_f)
 
 let predict (t : t) key ~nodes =
   match Hashtbl.find_opt t key with
   | None -> None
   | Some e ->
       Some (e.flat_s +. (e.per_node_s *. float_of_int (max 1 nodes)))
-
-let samples (t : t) key =
-  match Hashtbl.find_opt t key with None -> 0 | Some e -> e.samples
-
-let ingest (t : t) (root : Telemetry.node) =
-  let rec walk (n : Telemetry.node) =
-    (if String.length n.name >= 5 && String.sub n.name 0 5 = "move:" then
-       match List.assoc_opt "nodes_in" n.meta with
-       | Some (Telemetry.Int nodes) ->
-           observe t n.name ~nodes ~time_s:n.elapsed
-       | _ -> ());
-    List.iter walk n.children
-  in
-  walk root

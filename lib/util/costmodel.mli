@@ -4,9 +4,7 @@
     per orchestration run — never shared across domains, DESIGN.md
     §13).  It learns, per move key (e.g. ["move:size"]), an
     exponentially weighted estimate of the pass's flat overhead and
-    its per-node cost, from observations fed either directly
-    ({!observe}) or harvested from a {!Telemetry} span tree
-    ({!ingest}).
+    its per-node cost, from the observations fed to {!observe}.
 
     The predictor is deliberately crude — two EWMA terms, no variance
     — because its only consumer is budget gating: "does this move
@@ -30,12 +28,3 @@ val observe : t -> string -> nodes:int -> time_s:float -> unit
 val predict : t -> string -> nodes:int -> float option
 (** Predicted wall-clock seconds for running [key] on a [nodes]-node
     graph; [None] until at least one observation for [key]. *)
-
-val samples : t -> string -> int
-(** Number of observations folded in for [key]. *)
-
-val ingest : t -> Telemetry.node -> unit
-(** Walk a captured span tree and {!observe} every span whose name
-    starts with ["move:"] and that carries a ["nodes_in"] metadata
-    key — the shape {!Flow.Orchestrate} emits.  Spans without the
-    marker are skipped. *)

@@ -48,9 +48,6 @@ val default : unit -> t
     what the CLI and benches use so [MIG_STATS]/[MIG_CHECK]/
     [MIG_FAULT] keep working. *)
 
-val of_env : Env.t -> t
-(** {!create} from an already-parsed environment record. *)
-
 val stats : t -> Telemetry.t
 val budget : t -> Budget.t
 val fault : t -> Fault.t

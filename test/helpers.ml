@@ -87,3 +87,22 @@ let net_matches_fn net fn =
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* ----- the optimizer every entry point runs ----- *)
+
+(* The goal's paper script through the pass engine, at [effort]
+   (default 2): exactly what [Flow.mig_opt], [mighty opt], [batch] and
+   [serve] build via [Flow.Batch.optimizer_of_spec].  The engine never
+   returns a wrong graph: it rolls an unsound pass back, or falls back
+   to the input, and reports either as [degraded].  So a degraded run
+   fails the test here, or a miscompile could never show. *)
+let opt ?(effort = 2) ?cache goal m =
+  let out, r =
+    Flow.Batch.optimizer_of_spec ?cache
+      { Flow.Batch.default_spec with goal; effort }
+      m
+  in
+  if r.Flow.Engine.degraded then
+    Alcotest.failf "optimizer (effort %d) did not run clean:@,%a" effort
+      Flow.Engine.pp_report r;
+  out

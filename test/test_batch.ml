@@ -44,7 +44,7 @@ let test_scratch_steady_state () =
      first runs size the pool, after which repeated identical runs
      must not allocate fresh scratch *)
   let opt () =
-    ignore (Mig.Opt_depth.run ~size_recovery:true (Mig.Opt_size.run m))
+    ignore (Helpers.opt `Depth (Helpers.opt `Size m))
   in
   opt ();
   opt ();
@@ -93,7 +93,10 @@ let run_unit i seed =
   let out, tree =
     T.capture (Ctx.stats ctx)
       (Printf.sprintf "unit%d" i)
-      (fun () -> Mig.Opt_depth.run ~check:true (Mig.Opt_size.run ~check:true m))
+      (fun () ->
+        Mig.Check.guarded ~enabled:true ~name:"depth"
+          (Helpers.opt `Depth)
+          (Mig.Check.guarded ~enabled:true ~name:"size" (Helpers.opt `Size) m))
   in
   ( graph_fp out,
     Option.map normalize tree,

@@ -274,17 +274,19 @@ let vars = [ "a"; "b"; "c"; "d"; "e"; "f" ]
 let mig_of_terms terms =
   Mig.Convert.of_network (Helpers.network_of_terms ~vars terms)
 
+(* every goal's engine script, each run under the full transform
+   guard (pre/post lint + simulation miter with counterexample) *)
 let optimizer_configs =
-  [
-    ("opt_size e1", fun m -> Mig.Opt_size.run ~check:true ~effort:1 m);
-    ("opt_size e2", fun m -> Mig.Opt_size.run ~check:true ~effort:2 m);
-    ("opt_size e3", fun m -> Mig.Opt_size.run ~check:true ~effort:3 m);
-    ("opt_depth e1", fun m -> Mig.Opt_depth.run ~check:true ~effort:1 m);
-    ("opt_depth e2", fun m -> Mig.Opt_depth.run ~check:true ~effort:2 m);
-    ("opt_depth e3", fun m -> Mig.Opt_depth.run ~check:true ~effort:3 m);
-    ("opt_activity e1", fun m -> Mig.Opt_activity.run ~check:true ~effort:1 m);
-    ("opt_activity e2", fun m -> Mig.Opt_activity.run ~check:true ~effort:2 m);
-  ]
+  List.map
+    (fun (goal, effort) ->
+      let name =
+        Printf.sprintf "%s e%d" (Flow.Move.goal_name goal) effort
+      in
+      (name, Mig.Check.guarded ~enabled:true ~name (Helpers.opt ~effort goal)))
+    [
+      (`Size, 1); (`Size, 2); (`Size, 3); (`Depth, 1); (`Depth, 2);
+      (`Depth, 3); (`Activity, 1); (`Activity, 2);
+    ]
 
 let test_guarded_optimizers_random =
   Helpers.qtest ~count:50 "guarded optimizers on random MIGs"
@@ -319,9 +321,9 @@ let test_benchmark_outputs_clean () =
             (Printf.sprintf "%s after %s" bench name)
             (Mig.Check.lint (opt m)))
         [
-          ("opt_size", fun m -> Mig.Opt_size.run ~check:false m);
-          ("opt_depth", fun m -> Mig.Opt_depth.run ~check:false ~effort:2 m);
-          ("opt_activity", fun m -> Mig.Opt_activity.run ~check:false ~effort:1 m);
+          ("size goal", Helpers.opt `Size);
+          ("depth goal", Helpers.opt `Depth);
+          ("activity goal", Helpers.opt ~effort:1 `Activity);
         ];
       let a = Aig.Convert.of_network net in
       check_clean (bench ^ " aig") (Aig.Check.lint a);

@@ -29,9 +29,10 @@ let crosscheck seed =
   let add name n = results := (name, n) :: !results in
   (* MIG flows *)
   let m = Mig.Convert.of_network net in
-  add "mig-depth" (Mig.Convert.to_network (Mig.Opt_depth.run ~effort:2 m));
-  add "mig-size" (Mig.Convert.to_network (Mig.Opt_size.run m));
-  add "mig-activity" (Mig.Convert.to_network (Mig.Opt_activity.run ~effort:1 m));
+  add "mig-depth" (Mig.Convert.to_network (Helpers.opt `Depth m));
+  add "mig-size" (Mig.Convert.to_network (Helpers.opt `Size m));
+  add "mig-activity"
+    (Mig.Convert.to_network (Helpers.opt ~effort:1 `Activity m));
   (* AIG flows *)
   let a = Aig.Convert.of_network net in
   add "aig-resyn" (Aig.Convert.to_network (Aig.Resyn.run ~effort:1 a));

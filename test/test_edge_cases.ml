@@ -76,7 +76,7 @@ let test_empty_network () =
   let m = Mig.Convert.of_network net in
   Alcotest.(check int) "no nodes" 0 (Mig.Graph.size m);
   Alcotest.(check int) "pis kept" 1 (Mig.Graph.num_pis m);
-  let o = Mig.Opt_depth.run m in
+  let o = Helpers.opt `Depth m in
   Alcotest.(check int) "opt of nothing" 0 (Mig.Graph.depth o)
 
 let test_deep_chain_no_stack_overflow () =

@@ -128,6 +128,41 @@ let test_failed_pass_rolls_back () =
   Alcotest.(check bool) "degraded" true rep.E.degraded;
   Alcotest.(check int) "one rollback" 1 rep.E.rollbacks
 
+(* A miscompiling pass: a copy of [g] with its first PO complemented.
+   It lints clean, so only a miter can reject it. *)
+let flip_first_po g =
+  let module S = Network.Signal in
+  let out = M.create ~ctx:(M.ctx g) () in
+  let map = Array.make (M.num_nodes g) (M.const0 out) in
+  List.iter (fun id -> map.(id) <- M.add_pi out (M.pi_name g id)) (M.pis g);
+  let mapped s = S.xor_complement map.(S.node s) (S.is_complement s) in
+  M.iter_majs g (fun id fs ->
+      map.(id) <- M.maj out (mapped fs.(0)) (mapped fs.(1)) (mapped fs.(2)));
+  List.iteri
+    (fun k (name, s) ->
+      M.add_po out name (S.xor_complement (mapped s) (k = 0)))
+    (M.pos g);
+  out
+
+let test_unsound_pass_falls_back () =
+  (* with the per-pass miter off the unsound result is checkpointed
+     (the cost ranks every new checkpoint best); the final
+     re-verification must catch it, return the input and say so *)
+  let m = mig_of "count" in
+  let tick = ref 0.0 in
+  let cost _ =
+    tick := !tick -. 1.0;
+    (!tick, 0.0)
+  in
+  let passes = [ E.pass "ok" Tr.eliminate; E.pass "miscompile" flip_first_po ] in
+  let out, rep = E.run ~verify:false ~cost ~seed:3 ~passes m in
+  Alcotest.(check bool) "equivalent to input" true
+    (Mig.Equiv.migs ~seed:4 m out);
+  Alcotest.(check bool) "every pass completed" true
+    (List.for_all (fun r -> r.E.outcome = E.Completed) rep.E.passes);
+  Alcotest.(check int) "the fallback is a rollback" 1 rep.E.rollbacks;
+  Alcotest.(check bool) "degraded" true rep.E.degraded
+
 (* ----- determinism: equal fault specs give equal runs ----- *)
 
 let fingerprint (g, (rep : E.report)) =
@@ -203,6 +238,8 @@ let () =
             test_checkpoint_best_so_far;
           Alcotest.test_case "failed pass rolls back" `Quick
             test_failed_pass_rolls_back;
+          Alcotest.test_case "unsound pass falls back" `Quick
+            test_unsound_pass_falls_back;
           Alcotest.test_case "same-seed determinism" `Quick
             test_same_seed_deterministic;
           Alcotest.test_case "bds blow-up is None" `Quick

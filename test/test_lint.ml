@@ -73,6 +73,8 @@ let test_scoping () =
   t "SRC006 exempts Lsutil.Env" false (L.applies "SRC006" "lib/util/env.ml");
   t "SRC006 binds elsewhere in lib/" true (L.applies "SRC006" "lib/util/vec.ml");
   t "SRC002 exempts Flow.Batch" false (L.applies "SRC002" "lib/flow/batch.ml");
+  t "SRC002 binds in Flow.Par (it runs on Batch.pmap)" true
+    (L.applies "SRC002" "lib/flow/par.ml");
   t "SRC002 binds outside lib/ too" true (L.applies "SRC002" "test/test_foo.ml");
   t "SRC003 exempts Budget" false (L.applies "SRC003" "lib/util/budget.ml");
   t "SRC003 exempts Telemetry" false
@@ -121,7 +123,12 @@ let test_catalog () =
     (fun c ->
       Alcotest.(check bool) (c ^ " in Check.Rules.all") true (Check_rules.mem c))
     (lint_codes
-    @ [ "SAN001"; "SAN002"; "SAN003"; "SAN004"; "SAN005"; "SAN006" ])
+    @ [ "SAN001"; "SAN002"; "SAN003"; "SAN004"; "SAN005"; "SAN006" ]);
+  (* the domain-spawn rule states the same scope in both registries *)
+  Alcotest.(check (option string))
+    "SRC002 title agrees with Check.Rules"
+    (Some (List.find (fun r -> r.L.code = "SRC002") L.catalog).L.title)
+    (Check_rules.describe "SRC002")
 
 let () =
   Alcotest.run "lint"

@@ -150,7 +150,7 @@ let test_levels_mig () =
 let test_equiv_by_bdd () =
   let net = Helpers.random_network ~seed:12 ~inputs:8 ~gates:60 ~outputs:4 in
   let m = Mig.Convert.of_network net in
-  let opt = Mig.Opt_size.run m in
+  let opt = Helpers.opt `Size m in
   Alcotest.(check bool) "BDD equivalence" true (Mig.Equiv.by_bdd m opt)
 
 let test_activity_formula () =
@@ -194,8 +194,8 @@ let prop_normal_form_after_opt =
       in
       let m = Mig.Convert.of_network net in
       normal_form_ok m
-      && normal_form_ok (Mig.Opt_depth.run ~effort:1 m)
-      && normal_form_ok (Mig.Opt_size.run ~effort:1 m))
+      && normal_form_ok (Helpers.opt ~effort:1 `Depth m)
+      && normal_form_ok (Helpers.opt ~effort:1 `Size m))
 
 (* ----- differential check of the packed construction core -----
 

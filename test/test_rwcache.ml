@@ -5,7 +5,8 @@
    - [Mig.Rwcache]: NPN-keyed lookups localize their canonical form
      back to the querying table, share entries across a whole NPN
      class, and reject poisoned store entries under checking;
-   - optimization bit-identity: [Opt_size.run] answers the same with a
+   - optimization bit-identity: the size goal's engine script answers
+     the same with a
      cold cache, a warm cache, and under [Check.guarded];
    - [Flow.Cutoff]: cone fingerprints are rebuild-stable and
      salt-sensitive; a one-output edit re-optimizes only its own cone
@@ -188,7 +189,7 @@ let test_opt_cache_identity () =
   let base = ref (RW.empty_base ()) in
   let run () =
     let h = RW.fork !base in
-    let out = Mig.Opt_size.run ~cache:h (mig_of ~ctx net) in
+    let out = Helpers.opt ~cache:h `Size (mig_of ~ctx net) in
     base := RW.merge !base [ RW.delta h ];
     (out, RW.hits h, RW.misses h)
   in
@@ -217,7 +218,7 @@ let test_guarded_warm_cache () =
       let h = RW.fork !base in
       (match
          Mig.Check.guarded ~enabled:true ~name:("opt_size:" ^ label)
-           (Mig.Opt_size.run ~check:false ~cache:h)
+           (Helpers.opt ~cache:h `Size)
            (mig_of ~ctx net)
        with
       | _ -> ()

@@ -126,7 +126,7 @@ let test_graph_clean_run () =
   let ctx = Ctx.create ~san:true () in
   let net = Helpers.random_network ~seed:7 ~inputs:5 ~gates:40 ~outputs:3 in
   let m = Mig.Convert.of_network ~ctx net in
-  let m = Mig.Opt_depth.run ~size_recovery:true (Mig.Opt_size.run m) in
+  let m = Helpers.opt `Depth (Helpers.opt `Size m) in
   Alcotest.(check bool) "optimized" true (M.size m > 0);
   Ctx.with_scratch ctx 32 (fun a ->
       a.(0) <- 1;

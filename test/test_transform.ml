@@ -77,7 +77,7 @@ let test_push_up_carry_chain () =
   done;
   M.add_po g "cout" !carry;
   Alcotest.(check int) "chain depth" 16 (M.depth g);
-  let opt = Mig.Opt_depth.run ~size_recovery:false g in
+  let opt = Helpers.opt `Depth g in
   Alcotest.(check bool) "flattened below half" true (M.depth opt <= 8);
   Alcotest.(check bool) "equivalent" true (Mig.Equiv.migs ~seed:62 g opt)
 
@@ -113,7 +113,7 @@ let test_relevance_simplifies_reconvergence () =
   let inner1 = M.maj g x (Network.Signal.not_ z) w in
   let inner2 = M.maj g x y z in
   M.add_po g "h" (M.maj g x inner1 inner2);
-  let opt = Mig.Opt_size.run g in
+  let opt = Helpers.opt `Size g in
   Alcotest.(check int) "reduced to zero nodes" 0 (M.size opt);
   Alcotest.(check bool) "equivalent" true (Mig.Equiv.migs ~seed:65 g opt)
 

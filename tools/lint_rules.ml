@@ -40,12 +40,14 @@ let catalog =
     };
     {
       code = "SRC002";
-      title = "Domain.spawn outside Flow.Batch/Flow.Par";
+      title = "Domain.spawn outside Flow.Batch and the serve daemon";
       descr =
-        "domains are spawned only by the parallel drivers so ownership \
+        "domains are spawned only by the one domain pool (Flow.Batch.pmap, \
+         which Flow.Par also runs on) and the serve daemon so ownership \
          handoff stays auditable; exempt: lib/flow/batch.ml, \
-         lib/flow/par.ml, and test/test_par.ml (concurrent strash-segment \
-         hammering needs raw domains)";
+         lib/serve/server.ml, lib/serve/load.ml, test/test_serve.ml, and \
+         test/test_par.ml (concurrent strash-segment hammering needs raw \
+         domains)";
     };
     {
       code = "SRC003";
@@ -119,9 +121,9 @@ let applies code p =
   match code with
   | "SRC001" | "SRC005" -> in_lib p
   | "SRC002" ->
-      p <> "lib/flow/batch.ml" && p <> "lib/flow/par.ml"
-      && p <> "lib/serve/server.ml" && p <> "lib/serve/load.ml"
-      && p <> "test/test_par.ml" && p <> "test/test_serve.ml"
+      p <> "lib/flow/batch.ml" && p <> "lib/serve/server.ml"
+      && p <> "lib/serve/load.ml" && p <> "test/test_par.ml"
+      && p <> "test/test_serve.ml"
   | "SRC003" ->
       in_lib p && p <> "lib/util/budget.ml" && p <> "lib/util/telemetry.ml"
   | "SRC004" -> true
