@@ -29,7 +29,7 @@ examples:
 clean:
 	dune clean
 
-# AST source lint (rules SRC001..SRC006) over every OCaml source dir;
+# AST source lint (rules SRC001..SRC007) over every OCaml source dir;
 # also runs as part of `dune build @check`
 lint:
 	dune exec tools/lint_src.exe -- lib bin bench tools test

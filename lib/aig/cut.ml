@@ -1,119 +1,16 @@
-module G = Graph
-module S = Network.Signal
+include Network.Cut.Make (struct
+  type t = Graph.t
 
-type t = int array
+  let num_nodes = Graph.num_nodes
+  let is_pi = Graph.is_pi
+  let is_gate = Graph.is_and
+  let fanins g i = [| Graph.fanin0 g i; Graph.fanin1 g i |]
+  let eval _ _ (tts : Truthtable.t array) = Truthtable.and_ tts.(0) tts.(1)
+  let live _ _ = true
 
-(* Merge two sorted duplicate-free arrays into one. *)
-let merge_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push v =
-    out.(!k) <- v;
-    incr k
-  in
-  while !i < la && !j < lb do
-    if a.(!i) < b.(!j) then (push a.(!i); incr i)
-    else if a.(!i) > b.(!j) then (push b.(!j); incr j)
-    else (push a.(!i); incr i; incr j)
-  done;
-  while !i < la do push a.(!i); incr i done;
-  while !j < lb do push b.(!j); incr j done;
-  Array.sub out 0 !k
+  let poll g =
+    let budget = Lsutil.Ctx.budget (Graph.ctx g) in
+    fun () -> Lsutil.Budget.poll budget
 
-let enumerate ~k ~max_cuts g =
-  let n = G.num_nodes g in
-  let cuts : t list array = Array.make n [] in
-  for i = 0 to n - 1 do
-    if i = 0 then cuts.(i) <- [ [||] ]
-    else if G.is_pi g i then cuts.(i) <- [ [| i |] ]
-    else begin
-      let a = S.node (G.fanin0 g i) and b = S.node (G.fanin1 g i) in
-      let merged = ref [] in
-      List.iter
-        (fun ca ->
-          List.iter
-            (fun cb ->
-              let m = merge_sorted ca cb in
-              if Array.length m <= k then merged := m :: !merged)
-            cuts.(b))
-        cuts.(a);
-      (* dedup, prefer small cuts, keep the trivial cut *)
-      let dedup =
-        List.sort_uniq compare !merged
-        |> List.sort (fun x y -> compare (Array.length x) (Array.length y))
-      in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      cuts.(i) <- [| i |] :: take (max_cuts - 1) dedup
-    end
-  done;
-  cuts
-
-let cut_function g root cut =
-  let module T = Truthtable in
-  let nv = Array.length cut in
-  let memo = Hashtbl.create 64 in
-  Array.iteri (fun idx leaf -> Hashtbl.replace memo leaf (T.var nv idx)) cut;
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some tt -> tt
-    | None ->
-        if id = 0 then T.const0 nv
-        else begin
-          assert (G.is_and g id);
-          let value s =
-            let tt = go (S.node s) in
-            if S.is_complement s then T.not_ tt else tt
-          in
-          let tt = T.and_ (value (G.fanin0 g id)) (value (G.fanin1 g id)) in
-          Hashtbl.replace memo id tt;
-          tt
-        end
-  in
-  go root
-
-let cone g root cut =
-  let in_cut = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace in_cut l ()) cut;
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go id =
-    if (not (Hashtbl.mem in_cut id)) && (not (Hashtbl.mem seen id)) && G.is_and g id
-    then begin
-      Hashtbl.replace seen id ();
-      acc := id :: !acc;
-      go (S.node (G.fanin0 g id));
-      go (S.node (G.fanin1 g id))
-    end
-  in
-  go root;
-  !acc
-
-let mffc_size g ~fanout root cut =
-  let nodes = cone g root cut in
-  (* process in descending id order (reverse topological) *)
-  let nodes = List.sort (fun a b -> compare b a) nodes in
-  let mffc = Hashtbl.create 16 in
-  let refs_from_mffc = Hashtbl.create 16 in
-  let bump id =
-    Hashtbl.replace refs_from_mffc id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt refs_from_mffc id))
-  in
-  List.iter
-    (fun id ->
-      let inside =
-        id = root
-        || Option.value ~default:0 (Hashtbl.find_opt refs_from_mffc id)
-           = fanout.(id)
-      in
-      if inside then begin
-        Hashtbl.replace mffc id ();
-        bump (S.node (G.fanin0 g id));
-        bump (S.node (G.fanin1 g id))
-      end)
-    nodes;
-  Hashtbl.length mffc
+  let min_vars = 0
+end)

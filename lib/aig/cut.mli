@@ -1,23 +1,5 @@
-(** K-feasible cut enumeration and cut utilities on AIGs. *)
+(** K-feasible cuts on AIGs: the {!Network.Cut.Make} instance whose
+    gates are the AND nodes.  Enumeration polls the graph's budget;
+    cut functions have exactly one variable per leaf. *)
 
-type t = int array
-(** A cut: sorted array of leaf node ids. *)
-
-val enumerate : k:int -> max_cuts:int -> Graph.t -> t list array
-(** [enumerate ~k ~max_cuts g] computes, per node, up to [max_cuts]
-    cuts with at most [k] leaves each.  The trivial cut [{node}] is
-    always included.  Constants never appear as leaves. *)
-
-val cut_function : Graph.t -> int -> t -> Truthtable.t
-(** [cut_function g root cut] is the function of [root] expressed over
-    the cut leaves; leaf [cut.(i)] becomes truth-table variable [i].
-    The cut must actually cut the cone of [root]. *)
-
-val cone : Graph.t -> int -> t -> int list
-(** AND nodes strictly between the leaves and the root, root
-    included, in no particular order. *)
-
-val mffc_size : Graph.t -> fanout:int array -> int -> t -> int
-(** Number of cone nodes that would become dangling if [root] were
-    replaced by fresh logic on the leaves: nodes all of whose fanouts
-    stay inside the maximal fanout-free cone. *)
+include Network.Cut.S with type graph := Graph.t

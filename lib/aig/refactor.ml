@@ -1,48 +1,16 @@
 module G = Graph
-module S = Network.Signal
 module F = Sop.Factor
-
-let collect_cone g ~fanout ~max_leaves root =
-  (* Greedy expansion: keep a leaf set, repeatedly pull in the leaf
-     whose expansion grows the set least, preferring single-fanout AND
-     leaves (their logic is exclusive to this cone). *)
-  let module IS = Set.Make (Int) in
-  let expandable id = G.is_and g id in
-  let fanins id = [ S.node (G.fanin0 g id); S.node (G.fanin1 g id) ] in
-  let leaves = ref (IS.of_list (List.filter (fun i -> i <> 0) (fanins root))) in
-  let continue_ = ref true in
-  while !continue_ do
-    let candidates =
-      IS.elements !leaves
-      |> List.filter expandable
-      |> List.map (fun id ->
-             let after =
-               IS.union (IS.remove id !leaves)
-                 (IS.of_list (List.filter (fun i -> i <> 0) (fanins id)))
-             in
-             (id, after))
-      |> List.filter (fun (_, after) -> IS.cardinal after <= max_leaves)
-    in
-    (* best = prefers single-fanout leaves, then smallest growth *)
-    let score (id, after) =
-      ((if fanout.(id) = 1 then 0 else 1), IS.cardinal after)
-    in
-    match List.sort (fun a b -> compare (score a) (score b)) candidates with
-    | [] -> continue_ := false
-    | (_, after) :: _ -> leaves := after
-  done;
-  Array.of_list (IS.elements !leaves)
 
 let run ?(max_leaves = 10) g =
   let fanout = G.fanout_counts g in
   let plan_tbl = Hashtbl.create 256 in
   for id = 0 to G.num_nodes g - 1 do
     if G.is_and g id then begin
-      let cut = collect_cone g ~fanout ~max_leaves id in
+      let cut = Cut.reconvergent_cut g ~fanout ~max_leaves id in
       if Array.length cut >= 2 && Array.length cut <= max_leaves then begin
         let tt = Cut.cut_function g id cut in
         let form = F.factor (Sop.Isop.compute tt) in
-        let cost = Rewrite.form_cost form in
+        let cost = F.form_cost form in
         let freed = Cut.mffc_size g ~fanout id cut in
         if freed > cost then
           Hashtbl.replace plan_tbl id

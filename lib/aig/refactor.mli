@@ -6,8 +6,5 @@
     factoring; accepted when the factored form is estimated cheaper
     than the cone's MFFC. *)
 
-val collect_cone : Graph.t -> fanout:int array -> max_leaves:int -> int -> Cut.t
-(** The cone's leaf set for a node. *)
-
 val run : ?max_leaves:int -> Graph.t -> Graph.t
 (** One refactoring pass; never returns a larger graph. *)

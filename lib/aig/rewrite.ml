@@ -4,14 +4,6 @@ module F = Sop.Factor
 
 type candidate = { root : int; leaves : Cut.t; form : F.form }
 
-(* Number of 2-input gates needed by a factored form, assuming no
-   sharing: one gate per binary combination. *)
-let rec form_cost = function
-  | F.Const _ -> 0
-  | F.Lit _ -> 0
-  | F.And fs | F.Or fs ->
-      List.fold_left (fun acc f -> acc + form_cost f) (List.length fs - 1) fs
-
 let build_form g leaf_sigs form =
   let rec go = function
     | F.Const b -> if b then G.const1 g else G.const0 g
@@ -51,10 +43,10 @@ let candidate_for g fanout cuts id =
   List.iter
     (fun cut ->
       let nleaves = Array.length cut in
-      if nleaves >= 2 && not (nleaves = 1 && cut.(0) = id) then begin
+      if nleaves >= 2 then begin
         let tt = Cut.cut_function g id cut in
         let form = F.factor (Sop.Isop.compute tt) in
-        let cost = form_cost form in
+        let cost = F.form_cost form in
         let freed = Cut.mffc_size g ~fanout id cut in
         let gain = freed - cost in
         match !best with

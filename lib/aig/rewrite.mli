@@ -13,9 +13,6 @@ type candidate = {
   form : Sop.Factor.form;  (** literals index into [leaves] *)
 }
 
-val form_cost : Sop.Factor.form -> int
-(** 2-input gate count of a factored form, ignoring sharing. *)
-
 val rebuild : Graph.t -> (int -> candidate option) -> Graph.t
 (** [rebuild g plan] copies [g], substituting each node for which
     [plan] returns a candidate by the candidate's factored form built

@@ -1,129 +1,19 @@
-module G = Graph
-module S = Network.Signal
+include Network.Cut.Make (struct
+  type t = Graph.t
 
-type t = int array
+  let num_nodes = Graph.num_nodes
+  let is_pi = Graph.is_pi
+  let is_gate = Graph.is_maj
+  let fanins = Graph.fanins
+  let eval _ _ (tts : Truthtable.t array) = Truthtable.maj tts.(0) tts.(1) tts.(2)
 
-(* Merge sorted duplicate-free arrays. *)
-let merge2 a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push v =
-    out.(!k) <- v;
-    incr k
-  in
-  while !i < la && !j < lb do
-    if a.(!i) < b.(!j) then (push a.(!i); incr i)
-    else if a.(!i) > b.(!j) then (push b.(!j); incr j)
-    else (push a.(!i); incr i; incr j)
-  done;
-  while !i < la do push a.(!i); incr i done;
-  while !j < lb do push b.(!j); incr j done;
-  Array.sub out 0 !k
+  let live g =
+    let reach = Graph.reachable g in
+    fun i -> reach.(i)
 
-let enumerate ~k ~max_cuts g =
-  let n = G.num_nodes g in
-  let budget = Lsutil.Ctx.budget (G.ctx g) in
-  let reach = G.reachable g in
-  let cuts : t list array = Array.make n [] in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  for i = 0 to n - 1 do
-    Lsutil.Budget.poll budget;
-    if i = 0 then cuts.(i) <- [ [||] ]
-    else if G.is_pi g i then cuts.(i) <- [ [| i |] ]
-    else if not reach.(i) then
-      (* dead majs (speculative left-overs of a fused rebuild) keep no
-         cuts: nothing ever asks for them, and the k-feasible merge
-         below is the expensive part of the pass *)
-      cuts.(i) <- []
-    else begin
-      let fs = G.fanins g i in
-      let merged =
-        Array.fold_left
-          (fun acc s ->
-            List.concat_map
-              (fun m ->
-                List.filter_map
-                  (fun c ->
-                    let u = merge2 m c in
-                    if Array.length u <= k then Some u else None)
-                  cuts.(S.node s))
-              acc)
-          [ [||] ] fs
-      in
-      let dedup =
-        List.sort_uniq compare merged
-        |> List.sort (fun x y -> compare (Array.length x) (Array.length y))
-      in
-      cuts.(i) <- [| i |] :: take (max_cuts - 1) dedup
-    end
-  done;
-  cuts
+  let poll g =
+    let budget = Lsutil.Ctx.budget (Graph.ctx g) in
+    fun () -> Lsutil.Budget.poll budget
 
-let cut_function g root cut =
-  let module T = Truthtable in
-  let nv = max 3 (Array.length cut) in
-  let memo = Hashtbl.create 32 in
-  Array.iteri (fun idx leaf -> Hashtbl.replace memo leaf (T.var nv idx)) cut;
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some tt -> tt
-    | None ->
-        if id = 0 then T.const0 nv
-        else begin
-          assert (G.is_maj g id);
-          let fs = G.fanins g id in
-          let value s =
-            let tt = go (S.node s) in
-            if S.is_complement s then T.not_ tt else tt
-          in
-          let tt = T.maj (value fs.(0)) (value fs.(1)) (value fs.(2)) in
-          Hashtbl.replace memo id tt;
-          tt
-        end
-  in
-  go root
-
-let cone g root cut =
-  let in_cut = Hashtbl.create 8 in
-  Array.iter (fun l -> Hashtbl.replace in_cut l ()) cut;
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go id =
-    if
-      (not (Hashtbl.mem in_cut id))
-      && (not (Hashtbl.mem seen id))
-      && G.is_maj g id
-    then begin
-      Hashtbl.replace seen id ();
-      acc := id :: !acc;
-      Array.iter (fun s -> go (S.node s)) (G.fanins g id)
-    end
-  in
-  go root;
-  !acc
-
-let mffc_size g ~fanout root cut =
-  let nodes = cone g root cut in
-  let nodes = List.sort (fun a b -> compare b a) nodes in
-  let mffc = Hashtbl.create 16 in
-  let refs = Hashtbl.create 16 in
-  let bump id =
-    Hashtbl.replace refs id (1 + Option.value ~default:0 (Hashtbl.find_opt refs id))
-  in
-  List.iter
-    (fun id ->
-      let inside =
-        id = root
-        || Option.value ~default:0 (Hashtbl.find_opt refs id) = fanout.(id)
-      in
-      if inside then begin
-        Hashtbl.replace mffc id ();
-        Array.iter (fun s -> bump (S.node s)) (G.fanins g id)
-      end)
-    nodes;
-  Hashtbl.length mffc
+  let min_vars = 3
+end)

@@ -1,20 +1,6 @@
-(** K-feasible cuts on MIGs (used by the derived-identity rewriting
-    pass of {!Transform}). *)
+(** K-feasible cuts on MIGs: the {!Network.Cut.Make} instance whose
+    gates are the majority nodes.  Dead majority nodes get no cuts,
+    enumeration polls the graph's budget, and cut functions are padded
+    to 3 variables. *)
 
-type t = int array
-(** Sorted array of leaf node ids. *)
-
-val enumerate : k:int -> max_cuts:int -> Graph.t -> t list array
-(** Per-node cuts; the trivial cut is included; constants are never
-    leaves. *)
-
-val cut_function : Graph.t -> int -> t -> Truthtable.t
-(** Function of [root] over the cut leaves (leaf [i] = variable [i]),
-    padded to 3 variables when the cut is smaller. *)
-
-val cone : Graph.t -> int -> t -> int list
-(** Majority nodes strictly inside the cut (root included). *)
-
-val mffc_size : Graph.t -> fanout:int array -> int -> t -> int
-(** Number of cone nodes freed if the root were re-expressed directly
-    on the leaves (maximal fanout-free cone w.r.t. the cut). *)
+include Network.Cut.S with type graph := Graph.t

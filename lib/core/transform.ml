@@ -709,7 +709,7 @@ let rewrite_patterns ?(k = 3) ?(max_cuts = 8) ?(mode = `Depth) g =
         List.iter
           (fun cut ->
             let nleaves = Array.length cut in
-            if nleaves >= 2 && not (nleaves = 1 && cut.(0) = id) then
+            if nleaves >= 2 then
               match Hashtbl.find_opt tbl (tt_int (Cut.cut_function g id cut)) with
               | Some p when p.needs <= nleaves ->
                   (* nodes freed by re-expressing the cone on the leaves *)
@@ -736,90 +736,6 @@ let rewrite_patterns ?(k = 3) ?(max_cuts = 8) ?(mode = `Depth) g =
         | None -> copy)
 
 (* ----- refactoring: cone resynthesis through ISOP + factoring ----- *)
-
-(* Greedy reconvergence-driven cone, as in the AIG refactor pass:
-   absorb single-fanout fanins first, stop at [max_leaves]. *)
-(* Sorted-array set operations over at most [max_leaves + 3] node ids;
-   the greedy selection (expand the leaf minimizing
-   ((fanout = 1 ? 0 : 1), resulting cardinality), ties to the smallest
-   leaf id) is exactly the one the original Set.Make-based version
-   computed, without any per-candidate tree allocation. *)
-let collect_cone g ~fanout ~max_leaves root =
-  let slots = max_leaves + 4 in
-  let leaves = Array.make slots 0 in
-  let nl = ref 0 in
-  let cand = Array.make slots 0 in
-  let best = Array.make slots 0 in
-  let ff = Array.make 3 0 in
-  (* the (sorted, dedup'd, nonzero) fanin node ids of [id] into [ff] *)
-  let fanin_ids id =
-    let fs = G.fanins g id in
-    let a = S.node fs.(0) and b = S.node fs.(1) and c = S.node fs.(2) in
-    let a, b = if a <= b then (a, b) else (b, a) in
-    let b, c = if b <= c then (b, c) else (c, b) in
-    let a, b = if a <= b then (a, b) else (b, a) in
-    let n = ref 0 in
-    let push v =
-      if v <> 0 && (!n = 0 || ff.(!n - 1) <> v) then begin
-        ff.(!n) <- v;
-        incr n
-      end
-    in
-    push a;
-    push b;
-    push c;
-    !n
-  in
-  let nf = fanin_ids root in
-  Array.blit ff 0 leaves 0 nf;
-  nl := nf;
-  let continue_ = ref true in
-  while !continue_ do
-    (* score packed as (fanout flag) * 2^20 + cardinality, so an int
-       compare is the lexicographic compare of the original pair *)
-    let best_score = ref max_int and best_n = ref 0 in
-    for li = 0 to !nl - 1 do
-      let id = leaves.(li) in
-      if G.is_maj g id then begin
-        let nf = fanin_ids id in
-        (* merge (leaves \ {id}) with ff into cand *)
-        let n = ref 0 and j = ref 0 in
-        let push v =
-          cand.(!n) <- v;
-          incr n
-        in
-        for i = 0 to !nl - 1 do
-          if i <> li then begin
-            let v = leaves.(i) in
-            while !j < nf && ff.(!j) < v do
-              push ff.(!j);
-              incr j
-            done;
-            if !j < nf && ff.(!j) = v then incr j;
-            push v
-          end
-        done;
-        while !j < nf do
-          push ff.(!j);
-          incr j
-        done;
-        if !n <= max_leaves then begin
-          let sc = ((if fanout.(id) = 1 then 0 else 1) lsl 20) + !n in
-          if sc < !best_score then begin
-            best_score := sc;
-            best_n := !n;
-            Array.blit cand 0 best 0 !n
-          end
-        end
-      end
-    done;
-    if !best_score < max_int then begin
-      Array.blit best 0 leaves 0 !best_n;
-      nl := !best_n
-    end
-    else continue_ := false
-  done;
-  Array.sub leaves 0 !nl
 
 let build_factored fresh leaves form =
   let module F = Sop.Factor in
@@ -862,12 +778,12 @@ let refactor ?(max_leaves = 10) ?cache g =
               Tel.count (tel g) (if hit then "rwcache_hits" else "rwcache_misses");
               form
         in
-        let fc = (form, Aig.Rewrite.form_cost form) in
+        let fc = (form, Sop.Factor.form_cost form) in
         Hashtbl.add form_memo tt fc;
         fc
   in
   G.iter_live_majs g (fun id _ ->
-      let cut = collect_cone g ~fanout ~max_leaves id in
+      let cut = Cut.reconvergent_cut g ~fanout ~max_leaves id in
       let nleaves = Array.length cut in
       if nleaves >= 2 && nleaves <= max_leaves then begin
         let tt = Cut.cut_function g id cut in

@@ -76,6 +76,12 @@ let rec literal_count = function
   | And fs | Or fs -> List.fold_left (fun a f -> a + literal_count f) 0 fs
 
 (* ceil(log2 n) for n >= 1 *)
+(* One 2-input gate per binary combination, no sharing. *)
+let rec form_cost = function
+  | Const _ | Lit _ -> 0
+  | And fs | Or fs ->
+      List.fold_left (fun acc f -> acc + form_cost f) (List.length fs - 1) fs
+
 let clog2 n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
   go 0 1

@@ -14,6 +14,9 @@ val factor : Cover.t -> form
 val literal_count : form -> int
 (** Number of literal leaves in the form. *)
 
+val form_cost : form -> int
+(** 2-input gate count of a form, ignoring sharing. *)
+
 val depth : form -> int
 (** Depth of the form counting each 2-input AND/OR level as 1 (n-ary
     gates are costed as balanced binary trees). *)

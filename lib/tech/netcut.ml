@@ -1,90 +1,26 @@
 module G = Network.Graph
-module S = Network.Signal
 
-type t = int array
+include Network.Cut.Make (struct
+  type t = G.t
 
-(* Merge sorted duplicate-free arrays. *)
-let merge2 a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  let push v =
-    out.(!k) <- v;
-    incr k
-  in
-  while !i < la && !j < lb do
-    if a.(!i) < b.(!j) then (push a.(!i); incr i)
-    else if a.(!i) > b.(!j) then (push b.(!j); incr j)
-    else (push a.(!i); incr i; incr j)
-  done;
-  while !i < la do push a.(!i); incr i done;
-  while !j < lb do push b.(!j); incr j done;
-  Array.sub out 0 !k
+  let num_nodes = G.num_nodes
+  let is_pi n i = match G.node n i with G.Pi _ -> true | _ -> false
+  let is_gate n i = match G.node n i with G.Gate _ -> true | _ -> false
 
-let enumerate ~k ~max_cuts net =
-  let n = G.num_nodes net in
-  let cuts : t list array = Array.make n [] in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  G.iter_nodes net (fun i nd ->
-      match nd with
-      | G.Const0 -> cuts.(i) <- [ [||] ]
-      | G.Pi _ -> cuts.(i) <- [ [| i |] ]
-      | G.Gate (_, fanins) ->
-          let fanin_cuts =
-            Array.to_list fanins
-            |> List.map (fun s -> cuts.(S.node s))
-          in
-          let merged =
-            List.fold_left
-              (fun acc cs ->
-                List.concat_map
-                  (fun m -> List.filter_map
-                      (fun c ->
-                        let u = merge2 m c in
-                        if Array.length u <= k then Some u else None)
-                      cs)
-                  acc)
-              [ [||] ] fanin_cuts
-          in
-          let dedup =
-            List.sort_uniq compare merged
-            |> List.sort (fun x y ->
-                   compare (Array.length x) (Array.length y))
-          in
-          cuts.(i) <- [| i |] :: take (max_cuts - 1) dedup);
-  cuts
+  let fanins n i =
+    match G.node n i with G.Gate (_, fs) -> fs | _ -> [||]
 
-let cut_function net root cut =
-  let module T = Truthtable in
-  if Array.length cut > 3 then invalid_arg "Netcut.cut_function: cut too wide";
-  let memo = Hashtbl.create 32 in
-  Array.iteri (fun idx leaf -> Hashtbl.replace memo leaf (T.var 3 idx)) cut;
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some tt -> tt
-    | None ->
-        let tt =
-          match G.node net id with
-          | G.Const0 -> T.const0 3
-          | G.Pi _ -> invalid_arg "Netcut.cut_function: PI not in cut"
-          | G.Gate (fn, fs) ->
-              let value s =
-                let t = go (S.node s) in
-                if S.is_complement s then T.not_ t else t
-              in
-              let v k = value fs.(k) in
-              (match fn with
-              | G.And -> T.and_ (v 0) (v 1)
-              | G.Or -> T.or_ (v 0) (v 1)
-              | G.Xor -> T.xor_ (v 0) (v 1)
-              | G.Maj -> T.maj (v 0) (v 1) (v 2)
-              | G.Mux -> T.mux (v 0) (v 1) (v 2))
-        in
-        Hashtbl.replace memo id tt;
-        tt
-  in
-  go root
+  let eval n i (v : Truthtable.t array) =
+    let module T = Truthtable in
+    match G.node n i with
+    | G.Gate (G.And, _) -> T.and_ v.(0) v.(1)
+    | G.Gate (G.Or, _) -> T.or_ v.(0) v.(1)
+    | G.Gate (G.Xor, _) -> T.xor_ v.(0) v.(1)
+    | G.Gate (G.Maj, _) -> T.maj v.(0) v.(1) v.(2)
+    | G.Gate (G.Mux, _) -> T.mux v.(0) v.(1) v.(2)
+    | G.Const0 | G.Pi _ -> invalid_arg "Netcut.eval: not a gate"
+
+  let live _ _ = true
+  let poll _ () = ()
+  let min_vars = 3
+end)

@@ -1,13 +1,5 @@
-(** K-feasible cut enumeration on the generic network IR (the
-    mapper's subject graph). *)
+(** K-feasible cuts on the generic network IR (the mapper's subject
+    graph): the {!Network.Cut.Make} instance whose gates are the
+    network's gates.  Cut functions are padded to 3 variables. *)
 
-type t = int array
-(** Sorted array of leaf node ids. *)
-
-val enumerate : k:int -> max_cuts:int -> Network.Graph.t -> t list array
-(** Per-node cuts, the trivial cut included; constants excluded from
-    leaf sets. *)
-
-val cut_function : Network.Graph.t -> int -> t -> Truthtable.t
-(** Function of a node over the cut leaves, padded to 3 variables
-    (leaf [i] = variable [i]).  Cuts must have at most 3 leaves. *)
+include Network.Cut.S with type graph := Network.Graph.t

@@ -6,7 +6,7 @@
    all caught, while commented-out code and string literals never
    false-positive.
 
-   Rules carry stable codes (SRC001..SRC006) so CI can diff findings
+   Rules carry stable codes (SRC001..SRC007) so CI can diff findings
    across runs; a file opts out of a rule with a floating attribute
    [@@@san.allow "SRC00x"].  Each rule has a path scope — most only
    bind inside lib/ (executables and benches keep their freedom), and

@@ -1,4 +1,4 @@
-(** AST-accurate source lint (rules SRC001..SRC006).
+(** AST-accurate source lint (rules SRC001..SRC007).
 
     Parses an implementation file with compiler-libs and walks the
     Parsetree, so spacing, annotations and line breaks cannot hide an
